@@ -38,10 +38,9 @@ import json
 import sys
 from typing import Sequence
 
-from repro.db import partition as db_partition
 from repro.db import vector
 from repro.engine import ENGINES
-from repro.errors import FaultSpecError, ServeError
+from repro.errors import FaultSpecError, ReproError, ServeError
 from repro.ioutil import write_json_atomic, write_text_atomic
 from repro.mtm.process import validate_definition
 from repro.observability import Observability
@@ -112,20 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--checkpoint-every", type=float, metavar="TU",
                      help="checkpoint cadence in tu for "
                           "--durability snapshot+wal")
-    run.add_argument("--no-vector", action="store_true",
-                     help="disable the columnar batch kernels and run "
-                          "every relational operator on the scalar "
-                          "row-at-a-time fast path")
-    run.add_argument("--batch-threshold", type=int, metavar="ROWS",
-                     help="minimum input rows before the columnar batch "
-                          "kernels engage (default "
-                          f"{vector.DEFAULT_BATCH_THRESHOLD}; 0 = always "
-                          "batch)")
-    run.add_argument("--mem-budget", type=int, metavar="ROWS",
-                     help="per-database resident-row budget: tables "
-                          "partition and spill cold partitions to disk "
-                          "past this many rows (default unlimited; env "
-                          "REPRO_MEM_BUDGET)")
 
     sweep = commands.add_parser(
         "sweep",
@@ -158,10 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--durability", choices=("off",) + DURABILITY_MODES,
                        default="off")
     sweep.add_argument("--checkpoint-every", type=float, metavar="TU")
-    sweep.add_argument("--mem-budget", type=int, metavar="ROWS",
-                       help="per-database resident-row budget applied "
-                            "to every grid point (spillable disk-backed "
-                            "partitions; results stay byte-identical)")
     sweep.add_argument("--no-verify", action="store_true",
                        help="skip phase-post verification per grid point")
     sweep.add_argument("--out", metavar="FILE.json",
@@ -253,18 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--periods", type=int, default=2)
     profile.add_argument("--seed", type=int, default=42)
     profile.add_argument("--workers", type=int, default=4)
-    profile.add_argument("--no-vector", action="store_true",
-                         help="disable the columnar batch kernels "
-                              "(profile the scalar fast path)")
-    profile.add_argument("--batch-threshold", type=int, metavar="ROWS",
-                         help="minimum input rows before the columnar "
-                              "batch kernels engage (default "
-                              f"{vector.DEFAULT_BATCH_THRESHOLD}; "
-                              "0 = always batch)")
-    profile.add_argument("--mem-budget", type=int, metavar="ROWS",
-                         help="per-database resident-row budget (spill "
-                              "partitions past it); adds partition_* "
-                              "spill counters to the report")
     profile.add_argument("--naive", action="store_true",
                          help="disable the relational fast path for this "
                               "run (baseline comparison)")
@@ -492,11 +461,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         datasize=args.datasize, time=args.time, distribution=args.distribution
     )
     scenario = build_scenario(jitter=args.jitter, seed=args.seed)
-    engine = ENGINES[args.engine](
-        scenario.registry, worker_count=args.workers,
-        batch_threshold=args.batch_threshold,
-        mem_budget=args.mem_budget,
-    )
+    engine = ENGINES[args.engine](scenario.registry, worker_count=args.workers)
     observability = (
         Observability() if (args.trace_out or args.metrics_out) else None
     )
@@ -522,11 +487,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: invalid fault spec {args.faults}: {exc}",
               file=sys.stderr)
         return 2
-    if args.no_vector:
-        with vector.disabled():
-            result = client.run()
-    else:
-        result = client.run()
+    result = client.run()
 
     table = result.metrics.as_table()
     print(
@@ -623,7 +584,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             checkpoint_every=args.checkpoint_every,
             verify=not args.no_verify,
             collect_metrics=bool(args.metrics_out),
-            mem_budget=args.mem_budget,
         )
         executor = SweepExecutor(workers=args.workers)
     except (SweepError, ValueError) as exc:
@@ -934,9 +894,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         datasize=args.datasize, time=args.time, distribution=args.distribution
     )
     scenario = build_scenario(jitter=args.jitter, seed=args.seed)
-    engine = ENGINES[args.engine](
-        scenario.registry, worker_count=args.workers
-    )
+    engine = ENGINES[args.engine](scenario.registry, worker_count=args.workers)
     observability = Observability()
     client = BenchmarkClient(
         scenario, engine, factors, periods=args.periods, seed=args.seed,
@@ -996,8 +954,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         workload = synthesize(synth_spec, f=args.distribution)
         engine = ENGINES[args.engine](
             workload.scenario.registry, worker_count=args.workers,
-            batch_threshold=args.batch_threshold,
-            mem_budget=args.mem_budget,
         )
         client = SynthClient(
             workload, engine, factors, periods=args.periods,
@@ -1007,31 +963,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         scenario = build_scenario(seed=args.seed)
         engine = ENGINES[args.engine](
             scenario.registry, worker_count=args.workers,
-            batch_threshold=args.batch_threshold,
-            mem_budget=args.mem_budget,
         )
         client = BenchmarkClient(
             scenario, engine, factors, periods=args.periods, seed=args.seed,
             observability=observability,
         )
     stats_base = fastpath.STATS.copy()
-    partition_base = db_partition.STATS.copy()
     if args.naive:
         with fastpath.disabled():
-            result = client.run()
-    elif args.no_vector:
-        with vector.disabled():
             result = client.run()
     else:
         result = client.run()
     stats = (fastpath.STATS - stats_base).snapshot()
-    partition_stats = {
-        key: value
-        for key, value in (db_partition.STATS - partition_base)
-        .snapshot()
-        .items()
-        if value
-    }
 
     breakdown: dict[str, dict[str, float]] = {}
     for span in observability.tracer.spans_of_kind("operator"):
@@ -1065,7 +1008,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     if args.naive:
         mode = "naive"
-    elif args.no_vector:
+    elif not vector.is_enabled():
         mode = "fast-scalar"
     else:
         mode = "fast"
@@ -1095,10 +1038,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print("fast-path counters:")
     for key, value in stats.items():
         print(f"  {key:<20}{value:>10}")
-    if partition_stats:
-        print("partition spill counters:")
-        for key, value in partition_stats.items():
-            print(f"  {key:<20}{value:>10}")
     if args.out:
         payload = {
             "engine": result.engine_name,
@@ -1110,10 +1049,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "periods": result.periods,
             "path": mode,
             "batch_threshold": vector.batch_threshold(),
-            "mem_budget": args.mem_budget,
             "operators": breakdown,
             "fastpath": stats,
-            "partition": partition_stats,
         }
         if args.synth:
             payload["workload"] = args.synth
@@ -1584,7 +1521,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         "processes": _cmd_processes,
         "validate": _cmd_validate,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ReproError as exc:
+        # Domain errors (bad scale factors, out-of-range periods, ...)
+        # exit like argparse errors do, without a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,7 +24,7 @@ Quick tour::
     rel = db.table("customer").to_relation().select(col("custkey") == lit(1))
 """
 
-from repro.db import fastpath, partition, vector
+from repro.db import fastpath, vector
 from repro.db.types import SqlType, coerce_value, type_check
 from repro.db.schema import Column, ForeignKey, TableSchema
 from repro.db.expressions import (
@@ -80,6 +80,5 @@ __all__ = [
     "Database",
     "DatabaseStatistics",
     "fastpath",
-    "partition",
     "vector",
 ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import ProcedureError, SchemaError
-from repro.db import fastpath, partition
+from repro.db import fastpath
 from repro.db.active import MaterializedView, StoredProcedure, Trigger, ViewQuery
 from repro.db.expressions import BinaryOp, ColumnRef, Expression, Literal
 from repro.db.relation import Relation, Row
@@ -96,13 +96,6 @@ class Database:
         # objects (trigger/procedure/view bodies) are *not* journaled:
         # redeployment re-establishes them before redo runs.
         self._listener: ChangeListener | None = None
-        #: Row-count budget governing partition residency across all
-        #: tables (None = plain fully-resident storage).  Defaults from
-        #: ``REPRO_MEM_BUDGET``; engines and the CLI override per run.
-        self._budget: partition.MemoryBudget | None = None
-        env_budget = partition.budget_rows_from_env()
-        if env_budget is not None:
-            self.set_memory_budget(env_budget)
 
     def __repr__(self) -> str:
         return f"Database({self.name}, tables={sorted(self._tables)})"
@@ -114,40 +107,10 @@ class Database:
             raise SchemaError(f"{self.name}: table {schema.name} already exists")
         table = Table(schema)
         self._tables[schema.name] = table
-        if self._budget is not None:
-            table.attach_store(self._budget)
         if self._listener is not None:
             table.listener = self._listener
             self._listener(schema.name, "create_table", (schema,))
         return table
-
-    # -- memory budget -----------------------------------------------------------
-
-    @property
-    def memory_budget(self) -> partition.MemoryBudget | None:
-        """The active partition memory budget (None = unbudgeted)."""
-        return self._budget
-
-    def set_memory_budget(
-        self, limit_rows: int | None, partition_rows: int | None = None
-    ) -> None:
-        """Bound table-resident rows, spilling partitions past the limit.
-
-        ``limit_rows`` is the database-wide resident-row budget (None
-        detaches every store and returns to plain list storage);
-        ``partition_rows`` optionally fixes the partition size (default
-        derives from the budget, ``REPRO_PARTITION_ROWS`` overrides).
-        Attaching or detaching never changes observable contents,
-        counters or fingerprints — only physical residency.
-        """
-        if limit_rows is None:
-            self._budget = None
-            for table in self._tables.values():
-                table.detach_store()
-            return
-        self._budget = partition.MemoryBudget(limit_rows, partition_rows)
-        for table in self._tables.values():
-            table.attach_store(self._budget)
 
     def drop_table(self, name: str) -> None:
         if name not in self._tables:

@@ -34,7 +34,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import QueryError
-from repro.db import fastpath, partition, vector
+from repro.db import fastpath, vector
 from repro.db.expressions import Expression
 
 Row = dict[str, Any]
@@ -394,17 +394,6 @@ class Relation:
                 probe = table._probe_for(tuple(right_keys))
 
         if probe is None:
-            if fast:
-                # Either side still streaming over spilled partitions:
-                # bucket both sides to disk and join bucket-at-a-time
-                # (grace hash join) — same rows, same order, bounded
-                # residency.
-                graced = partition.maybe_grace_join(
-                    self, other, left_keys, right_keys, rename, how
-                )
-                if graced is not None:
-                    fastpath.STATS.rows_copied += len(graced)
-                    return Relation.from_trusted(out_columns, graced)
             if (
                 fast
                 and not self._wide
@@ -476,15 +465,6 @@ class Relation:
                 self._require_columns([in_col])
 
         if fastpath.is_enabled():
-            view = partition.spilled_view(self.rows)
-            if view is not None:
-                # Spilled input: stream partitions into running
-                # accumulators instead of materializing the snapshot.
-                out_columns, out_rows = partition.partitioned_group(
-                    view, keys, aggregates
-                )
-                fastpath.STATS.rows_copied += len(out_rows)
-                return Relation.from_trusted(out_columns, out_rows)
             if vector.should_batch(len(self.rows)):
                 batched = vector.group_rows(self, keys, aggregates)
                 if batched is not None:

@@ -24,7 +24,7 @@ from bisect import insort
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import IntegrityError, QueryError, SchemaError
-from repro.db import fastpath, partition, vector
+from repro.db import fastpath, vector
 from repro.db.expressions import Expression
 from repro.db.relation import Relation, Row
 from repro.db.schema import TableSchema
@@ -63,10 +63,7 @@ class Table:
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
-        #: Row storage: a plain list, or a spillable
-        #: :class:`~repro.db.partition.PartitionStore` once a memory
-        #: budget is attached (same positional protocol either way).
-        self._rows: list[Row] | partition.PartitionStore = []
+        self._rows: list[Row] = []
         self._pk_index: dict[tuple, int] | None = (
             {} if schema.primary_key else None
         )
@@ -101,47 +98,6 @@ class Table:
 
     def __repr__(self) -> str:
         return f"Table({self.name}, {len(self)} rows)"
-
-    # -- partitioned storage -----------------------------------------------------
-
-    @property
-    def partition_store(self) -> "partition.PartitionStore | None":
-        """The spillable store backing this table, or None (plain list)."""
-        rows = self._rows
-        return rows if isinstance(rows, partition.PartitionStore) else None
-
-    def attach_store(self, budget: "partition.MemoryBudget") -> None:
-        """Move row storage into a spillable partition store.
-
-        Contents, row order, indexes and counters are unchanged — only
-        the physical residency of partitions becomes budget-governed.
-        """
-        store = self.partition_store
-        if store is not None:
-            if store.budget is budget:
-                return
-            self._rows = store.detach()
-        self._rows = partition.PartitionStore(
-            self.schema, budget, list(self._rows)
-        )
-        self._column_cache = None
-        self._column_cache_generation = -1
-
-    def detach_store(self) -> None:
-        """Return to plain fully-resident list storage."""
-        store = self.partition_store
-        if store is not None:
-            self._rows = store.detach()
-            self._column_cache = None
-            self._column_cache_generation = -1
-
-    def _set_rows(self, rows: list[Row]) -> None:
-        """Wholesale storage rebuild (bulk delete / restore / redo)."""
-        store = self.partition_store
-        if store is not None:
-            store.replace_all(rows)
-        else:
-            self._rows = rows
 
     # -- index management ----------------------------------------------------------
 
@@ -348,9 +304,9 @@ class Table:
             removed_at = [p for p, r in enumerate(self._rows) if predicate(r)]
         if removed_at:
             removed_set = set(removed_at)
-            self._set_rows(
-                [r for p, r in enumerate(self._rows) if p not in removed_set]
-            )
+            self._rows = [
+                r for p, r in enumerate(self._rows) if p not in removed_set
+            ]
             self._rebuild_indexes()
             self.rows_written += len(removed_at)
             self._generation += 1
@@ -429,7 +385,7 @@ class Table:
         nor inflate ``rows_written`` (the engine's cost model would
         otherwise double-count the replayed work).
         """
-        self._set_rows([dict(row) for row in rows])
+        self._rows = [dict(row) for row in rows]
         self._rebuild_indexes()
         self._generation += 1
         if self._observers:
@@ -453,9 +409,9 @@ class Table:
                 self._notify_mutation()
         elif op == "delete_at":
             removed_set = set(payload[0])
-            self._set_rows(
-                [r for p, r in enumerate(self._rows) if p not in removed_set]
-            )
+            self._rows = [
+                r for p, r in enumerate(self._rows) if p not in removed_set
+            ]
             self._rebuild_indexes()
             self._generation += 1
             if self._observers:
@@ -529,9 +485,7 @@ class Table:
         mutation bumps ``_generation``.  Purely a physical layout for
         the vector kernels: building it never charges ``rows_read``
         (callers charge logical reads exactly as the scalar path does).
-        Values are the stored objects by reference, except numeric
-        columns optionally packed value-exactly under
-        ``REPRO_VECTOR_ARRAY=1`` (see :func:`repro.db.vector.pack_column`).
+        Values are the stored objects by reference.
         """
         if (
             self._column_cache is not None
@@ -539,31 +493,11 @@ class Table:
         ):
             return self._column_cache
         fastpath.STATS.column_builds += 1
-        if self.partition_store is not None:
-            # Store-backed: a cached whole-table image would pin the
-            # full working set and defeat the memory budget.  Gather in
-            # one streaming pass and return it uncached — the kernels
-            # that matter take the per-partition paths instead, whose
-            # column slices cache on the partitions themselves (keyed by
-            # partition generation, dropped on eviction).
-            names = self.schema.column_names
-            gathered: dict[str, list] = {name: [] for name in names}
-            for row in self._rows:
-                for name in names:
-                    gathered[name].append(row[name])
-            return {
-                column.name: vector.pack_column(
-                    column.sql_type, gathered[column.name]
-                )
-                for column in self.schema.columns
-            }
         rows = self._rows
-        image: dict[str, Any] = {}
-        for column in self.schema.columns:
-            name = column.name
-            image[name] = vector.pack_column(
-                column.sql_type, [row[name] for row in rows]
-            )
+        image: dict[str, Any] = {
+            name: [row[name] for row in rows]
+            for name in self.schema.column_names
+        }
         self._column_cache = image
         self._column_cache_generation = self._generation
         return image
@@ -606,16 +540,10 @@ class Table:
         the relation back to this table for index-aware joins.
         """
         self.rows_read += len(self._rows)
-        store = self.partition_store
         if fastpath.is_enabled():
-            # A store-backed snapshot stays lazy: the view reads through
-            # spillable partitions until an operator materializes it (or
-            # the store mutates, which freezes it copy-on-write) — same
-            # contents and isolation as the eager list copy.
-            rows = store.view() if store is not None else list(self._rows)
             return Relation.from_trusted(
                 tuple(self.schema.column_names),
-                rows,
+                list(self._rows),
                 source=(self, self._generation),
             )
         return Relation(self.schema.column_names, [dict(r) for r in self._rows])

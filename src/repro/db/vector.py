@@ -13,11 +13,7 @@ Three layers:
 * **Columnar images** — ``Table.column_data()`` lazily transposes the
   row store into per-column lists, cached per table generation (any
   mutation invalidates).  Relations not backed by a table gather the
-  referenced columns ad hoc.  With ``REPRO_VECTOR_ARRAY=1``, numeric
-  NOT NULL columns additionally pack into ``array('q')``/``array('d')``
-  (value-exact: only homogeneous ``int``/``float`` columns pack, so
-  round-trips are bit-identical) — a memory optimization that trades a
-  little per-access boxing cost.
+  referenced columns ad hoc.
 * **Mask kernels** — :func:`compile_mask` lowers a predicate tree to a
   single generated list comprehension over zipped columns.  SQL
   three-valued logic collapses safely under *strict* masks: the kernel
@@ -51,13 +47,12 @@ deterministic op-count gates in ``benchmarks/test_bench_relops.py``.
 from __future__ import annotations
 
 import os
-from array import array
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import compress
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
-from repro.db import fastpath, partition
+from repro.db import fastpath
 from repro.db.expressions import (
     _BINARY_OPS,
     BinaryOp,
@@ -75,7 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_BATCH_THRESHOLD = 64
 
 _enabled = os.environ.get("REPRO_VECTOR", "1") not in ("0", "false", "off")
-_array_backend = os.environ.get("REPRO_VECTOR_ARRAY", "0") in ("1", "true", "on")
 
 
 def _initial_threshold() -> int:
@@ -102,12 +96,6 @@ def set_enabled(on: bool) -> None:
 def batch_threshold() -> int:
     """Current minimum batch size for columnar kernels."""
     return _batch_threshold
-
-
-def set_batch_threshold(n: int) -> None:
-    """Set the batch threshold (engine deploy knob; clamps to >= 1)."""
-    global _batch_threshold
-    _batch_threshold = max(1, int(n))
 
 
 def should_batch(n: int) -> bool:
@@ -142,34 +130,6 @@ def enabled(threshold: int | None = None) -> Iterator[None]:
 
 
 # -- columnar images -------------------------------------------------------------
-
-#: SQL types whose columns may pack into an ``array`` when homogeneous.
-#: (DECIMAL stores :class:`~decimal.Decimal` objects, so it never packs.)
-_ARRAY_CODES = {"INTEGER": "q", "BIGINT": "q", "DOUBLE": "d"}
-
-
-def pack_column(sql_type: str, values: list) -> Sequence[Any]:
-    """Optionally pack one column into a typed ``array`` (value-exact).
-
-    Packing only happens under ``REPRO_VECTOR_ARRAY=1`` and only when
-    every value is exactly ``int`` (code ``q``) or exactly ``float``
-    (code ``d``) — ``bool``, NULLs or mixed types keep the plain list,
-    so values gathered back out of the image are bit-identical to the
-    stored row values.
-    """
-    if not _array_backend or not values:
-        return values
-    code = _ARRAY_CODES.get(str(sql_type).upper())
-    if code is None:
-        return values
-    kind = int if code == "q" else float
-    if any(type(v) is not kind for v in values):
-        return values
-    try:
-        return array(code, values)
-    except (OverflowError, TypeError):  # e.g. ints beyond 64 bits
-        return values
-
 
 def columns_of(rows: list["Row"], names: Sequence[str]) -> list[list] | None:
     """Gather ``names`` out of row dicts as per-column lists (ad hoc)."""
@@ -392,13 +352,6 @@ def filter_rows(relation: "Relation", predicate: Expression) -> list["Row"] | No
     if not kernel.columns:
         fastpath.STATS.vector_filters += 1
         return list(rows) if kernel.constant else []
-    view = partition.spilled_view(rows)
-    if view is not None and all(
-        name in relation.columns for name in kernel.columns
-    ):
-        return partition.partitioned_filter(
-            view.store, kernel, limit=len(view)
-        )
     columns = _resolve_columns(relation, kernel.columns)
     if columns is None:
         return None
@@ -423,12 +376,6 @@ def filter_table(table: "Table", predicate: Expression) -> list["Row"] | None:
     schema_columns = table.schema.column_names
     if any(name not in schema_columns for name in kernel.columns):
         return None  # scalar loop raises the exact unknown-column error
-    store = partition.store_of(table)
-    if store is not None:
-        # Budget-governed table: filter partition-by-partition over the
-        # per-partition column slices (cached on the partitions), never
-        # materializing a whole-table columnar image.
-        return partition.partitioned_filter(store, kernel)
     data = table.column_data()
     try:
         mask = kernel.fn(*(data[name] for name in kernel.columns))

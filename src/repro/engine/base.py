@@ -21,7 +21,7 @@ from repro.errors import (
     EngineError,
     TransientEngineFault,
 )
-from repro.db import fastpath, partition, vector
+from repro.db import fastpath, vector
 from repro.db.expressions import Expression
 from repro.engine.costs import CostBreakdown, CostParameters
 from repro.mtm.context import ExecutionContext
@@ -136,19 +136,9 @@ class IntegrationEngine:
         parallel_efficiency: float = 1.0,
         observability: Observability | None = None,
         resilience: "ResilienceContext | None" = None,
-        batch_threshold: int | None = None,
-        mem_budget: int | None = None,
     ):
         if worker_count < 1:
             raise EngineError(f"worker count must be >= 1, got {worker_count}")
-        if batch_threshold is not None and batch_threshold < 0:
-            raise EngineError(
-                f"batch threshold must be >= 0, got {batch_threshold}"
-            )
-        if mem_budget is not None and mem_budget < 1:
-            raise EngineError(
-                f"memory budget must be >= 1 row, got {mem_budget}"
-            )
         if not 0.0 <= parallel_efficiency <= 1.0:
             raise EngineError(
                 f"parallel efficiency must be in [0, 1]: {parallel_efficiency}"
@@ -162,15 +152,6 @@ class IntegrationEngine:
         self.cost_parameters = costs or CostParameters()
         self.worker_count = worker_count
         self.parallel_efficiency = parallel_efficiency
-        #: Minimum input size before the columnar batch kernels engage
-        #: (see :mod:`repro.db.vector`); None keeps the process default.
-        #: Applied at deploy time so one engine configures the whole run.
-        self.batch_threshold = batch_threshold
-        #: Per-database resident-row budget for spillable table
-        #: partitions (see :mod:`repro.db.partition`); None keeps plain
-        #: fully-resident storage.  Applied by the clients to every
-        #: scenario database, mirroring batch_threshold's knob shape.
-        self.mem_budget = mem_budget
         self._processes: dict[str, ProcessType] = {}
         self._next_instance_id = 1
         #: Completion times of busy workers (virtual-time worker pool).
@@ -190,7 +171,6 @@ class IntegrationEngine:
         #: Fast-path counter snapshot taken when profiling was armed,
         #: so _capture_profile can attribute kernel work per instance.
         self._profile_fastpath_base = fastpath.STATS.copy()
-        self._profile_partition_base = partition.STATS.copy()
         #: Retry/backoff + fault-injection context (attached by the
         #: BenchmarkClient, like observability); None = fail-fast, the
         #: exact pre-resilience behavior.
@@ -238,7 +218,6 @@ class IntegrationEngine:
             context.operator_log = []
             context.network_log = []
             self._profile_fastpath_base = fastpath.STATS.copy()
-            self._profile_partition_base = partition.STATS.copy()
 
     def _capture_profile(self, context: ExecutionContext) -> None:
         """Stash the context's logs for the span emission in handle_event."""
@@ -249,13 +228,6 @@ class IntegrationEngine:
                 for key, value in delta.snapshot().items()
                 if value
             }
-            # Spill activity rides in the same per-instance counter dict
-            # under a partition_ prefix; unbudgeted runs spill nothing,
-            # so their profile payloads stay byte-identical.
-            spill_delta = partition.STATS - self._profile_partition_base
-            for key, value in spill_delta.snapshot().items():
-                if value:
-                    counters[f"partition_{key}"] = value
             self._last_profile = ExecutionProfile(
                 operators=context.operator_log,
                 network_calls=context.network_log or [],
@@ -266,8 +238,6 @@ class IntegrationEngine:
 
     def deploy(self, process: ProcessType) -> None:
         """Validate and install one process type."""
-        if self.batch_threshold is not None:
-            vector.set_batch_threshold(self.batch_threshold)
         if process.process_id in self._processes:
             raise DeploymentError(
                 f"{self.engine_name}: {process.process_id} already deployed"

@@ -80,8 +80,6 @@ class EaiEngine(MtmInterpreterEngine):
         trace: bool = False,
         observability: Observability | None = None,
         resilience: "ResilienceContext | None" = None,
-        batch_threshold: int | None = None,
-        mem_budget: int | None = None,
     ):
         super().__init__(
             registry,
@@ -92,8 +90,6 @@ class EaiEngine(MtmInterpreterEngine):
             trace,
             observability=observability,
             resilience=resilience,
-            batch_threshold=batch_threshold,
-            mem_budget=mem_budget,
         )
 
 
@@ -118,8 +114,6 @@ class EtlEngine(MtmInterpreterEngine):
         trace: bool = False,
         observability: Observability | None = None,
         resilience: "ResilienceContext | None" = None,
-        batch_threshold: int | None = None,
-        mem_budget: int | None = None,
     ):
         super().__init__(
             registry,
@@ -130,8 +124,6 @@ class EtlEngine(MtmInterpreterEngine):
             trace,
             observability=observability,
             resilience=resilience,
-            batch_threshold=batch_threshold,
-            mem_budget=mem_budget,
         )
 
     def _execute_instance(self, process, event, queue_length):

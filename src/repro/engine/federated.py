@@ -54,8 +54,6 @@ class FederatedEngine(IntegrationEngine):
         trace: bool = False,
         observability: Observability | None = None,
         resilience: "ResilienceContext | None" = None,
-        batch_threshold: int | None = None,
-        mem_budget: int | None = None,
     ):
         super().__init__(
             registry,
@@ -65,13 +63,9 @@ class FederatedEngine(IntegrationEngine):
             parallel_efficiency,
             observability=observability,
             resilience=resilience,
-            batch_threshold=batch_threshold,
-            mem_budget=mem_budget,
         )
         #: The engine's own catalog: queue tables, triggers, procedures.
         self.internal_db = Database("federation_catalog")
-        if self.mem_budget is not None:
-            self.internal_db.set_memory_budget(self.mem_budget)
         #: Volatile routing metadata: ``db name -> current primary host``
         #: (written by the cluster layer's failover rerouting).
         self.catalog_routes: dict[str, str] = {}

@@ -39,8 +39,6 @@ class MtmInterpreterEngine(IntegrationEngine):
         trace: bool = False,
         observability: Observability | None = None,
         resilience: "ResilienceContext | None" = None,
-        batch_threshold: int | None = None,
-        mem_budget: int | None = None,
     ):
         super().__init__(
             registry,
@@ -50,8 +48,6 @@ class MtmInterpreterEngine(IntegrationEngine):
             parallel_efficiency,
             observability=observability,
             resilience=resilience,
-            batch_threshold=batch_threshold,
-            mem_budget=mem_budget,
         )
         self.trace = trace
         #: Trace logs of completed instances, when tracing is on.

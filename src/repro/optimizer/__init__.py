@@ -20,13 +20,6 @@ system would gain on the very same workload:
 
 All rewrites are *semantics-preserving*: the optimized process produces
 the same target-system state (pinned by tests that run both variants).
-
-:mod:`repro.optimizer.cost` layers a **cost-based planner** on top:
-:func:`collect_statistics` gathers per-table cardinalities and
-:func:`plan_process` orders join chains by estimated cost — superseding
-the purely rule-based ``route_joins_through_indexes`` as the planning
-entry point while keeping it as the fallback when statistics are
-absent (see :class:`PlanReport.fallback`).
 """
 
 from repro.optimizer.rules import (
@@ -38,16 +31,6 @@ from repro.optimizer.rules import (
     push_down_selections,
     route_joins_through_indexes,
 )
-from repro.optimizer.cost import (
-    PlanReport,
-    StatisticsCatalog,
-    TableStatistics,
-    collect_statistics,
-    index_catalog_of,
-    merge_catalogs,
-    plan_process,
-    selectivity,
-)
 
 __all__ = [
     "IndexCatalog",
@@ -57,12 +40,4 @@ __all__ = [
     "merge_projections",
     "parallelize_extracts",
     "route_joins_through_indexes",
-    "PlanReport",
-    "StatisticsCatalog",
-    "TableStatistics",
-    "collect_statistics",
-    "index_catalog_of",
-    "merge_catalogs",
-    "plan_process",
-    "selectivity",
 ]

@@ -299,13 +299,7 @@ def parallelize_extracts(process: ProcessType) -> tuple[ProcessType, Optimizatio
 def route_joins_through_indexes(
     process: ProcessType, catalog: IndexCatalog
 ) -> tuple[ProcessType, OptimizationReport]:
-    """Apply only the index join-routing rule against ``catalog``.
-
-    Superseded as the planning entry point by
-    :func:`repro.optimizer.cost.plan_process`, which orders joins by
-    estimated cost when statistics are available; this rule remains its
-    statistics-free fallback.
-    """
+    """Apply only the index join-routing rule against ``catalog``."""
     return optimize_process(
         process,
         pushdown=False,

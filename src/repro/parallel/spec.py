@@ -76,13 +76,6 @@ class RunSpec:
     #: classic DIPBench scenario.  The spec's own ``seed`` is inherited
     #: by the synthesizer unless the knob string pins one.
     synth: str = ""
-    #: Partition memory budget in resident rows per database (see
-    #: :mod:`repro.db.partition`); None keeps fully-resident storage.
-    #: Physical-residency knob only — deliberately NOT part of
-    #: :meth:`grid_key` or :attr:`label`, so a budgeted run occupies the
-    #: same grid point (and must fingerprint identically) as its
-    #: unbudgeted twin.
-    mem_budget: int | None = None
 
     @property
     def factors(self) -> ScaleFactors:

@@ -67,10 +67,6 @@ class SynthClient:
             self.scenario.registry.network.bind_metrics(
                 self.observability.metrics
             )
-        mem_budget = getattr(engine, "mem_budget", None)
-        if mem_budget is not None:
-            for db in self.scenario.all_databases.values():
-                db.set_memory_budget(mem_budget)
         self.monitor = Monitor(
             time_scale=self.factors.time, observability=self.observability
         )
@@ -103,7 +99,6 @@ class SynthClient:
         engine = ENGINES[spec.engine](
             workload.scenario.registry,
             worker_count=spec.engine_workers,
-            mem_budget=spec.mem_budget,
         )
         observability = None
         if spec.collect_metrics or spec.collect_trace:

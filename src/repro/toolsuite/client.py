@@ -29,7 +29,7 @@ from repro.cluster import (
     FailoverReport,
     ReplicationStats,
 )
-from repro.db import fastpath, partition
+from repro.db import fastpath
 from repro.engine.base import InstanceRecord, IntegrationEngine, ProcessEvent
 from repro.errors import BenchmarkError, ClusterError, EngineCrashed, FaultSpecError
 from repro.metrics.navg import MetricReport
@@ -154,13 +154,6 @@ class BenchmarkClient:
             self.scenario.registry.network.bind_metrics(
                 self.observability.metrics
             )
-        # Partition memory budget: an engine constructed with
-        # ``mem_budget`` governs every landscape database of the run
-        # (its own internal catalog is budgeted at engine construction).
-        mem_budget = getattr(engine, "mem_budget", None)
-        if mem_budget is not None:
-            for db in self.scenario.all_databases.values():
-                db.set_memory_budget(mem_budget)
         self.initializer = Initializer(
             scenario,
             d=self.factors.datasize,
@@ -297,7 +290,6 @@ class BenchmarkClient:
         engine = ENGINES[spec.engine](
             scenario.registry,
             worker_count=spec.engine_workers,
-            mem_budget=spec.mem_budget,
         )
         observability = None
         if spec.collect_metrics or spec.collect_trace:
@@ -349,7 +341,6 @@ class BenchmarkClient:
         # gauges stay identical whether runs share a process (serial
         # sweep) or get one each (parallel sweep workers).
         fastpath_base = fastpath.STATS.copy()
-        partition_base = partition.STATS.copy()
         if tracer.enabled:
             tracer.time_offset = 0.0
             self._run_span = tracer.begin(
@@ -385,12 +376,6 @@ class BenchmarkClient:
             registry.gauge("mv_full_recompute").set(
                 float(delta.mv_full_recompute)
             )
-            # Spill activity gauges only exist on budgeted runs, so
-            # unbudgeted exporter output is unchanged.
-            spill_delta = partition.STATS - partition_base
-            for key, value in spill_delta.snapshot().items():
-                if value:
-                    registry.gauge(f"partition_{key}").set(float(value))
         metrics = self.monitor.metrics()
         return BenchmarkResult(
             factors=self.factors,

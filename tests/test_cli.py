@@ -73,6 +73,16 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", "--distribution", "9"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--periods", "0"], "periods must be in [1, 100]: 0"),
+        (["--periods", "1", "--datasize", "0"], "datasize must be > 0: 0.0"),
+    ])
+    def test_domain_error_exits_2_without_traceback(
+        self, capsys, argv, message
+    ):
+        assert main(["run", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_run_trace_and_metrics_out(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
         metrics = tmp_path / "metrics.prom"
