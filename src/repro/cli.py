@@ -36,6 +36,7 @@ import argparse
 import asyncio
 import json
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from repro.db import vector
@@ -43,19 +44,19 @@ from repro.engine import ENGINES
 from repro.errors import FaultSpecError, ReproError, ServeError
 from repro.ioutil import write_json_atomic, write_text_atomic
 from repro.mtm.process import validate_definition
-from repro.observability import Observability
 from repro.observability.export import export_prometheus
 from repro.parallel import (
     RunSpec,
     SweepError,
     SweepExecutor,
+    client_from_spec,
     grid_from_axes,
     parse_grid_axes,
 )
-from repro.resilience import FaultEvent, FaultSpec, RetryPolicy
+from repro.resilience import FaultEvent, FaultSpec
 from repro.scenario import PROCESS_TABLE, build_processes, build_scenario
 from repro.storage import DURABILITY_MODES, landscape_digest
-from repro.toolsuite import BenchmarkClient, ScaleFactors, sweep_table
+from repro.toolsuite import ScaleFactors, sweep_table
 from repro.toolsuite.schedule import build_schedule
 
 
@@ -456,38 +457,60 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    factors = ScaleFactors(
-        datasize=args.datasize, time=args.time, distribution=args.distribution
-    )
-    scenario = build_scenario(jitter=args.jitter, seed=args.seed)
-    engine = ENGINES[args.engine](scenario.registry, worker_count=args.workers)
-    observability = (
-        Observability() if (args.trace_out or args.metrics_out) else None
-    )
-    faults = None
-    resilience = None
-    if args.faults:
-        try:
-            faults = FaultSpec.load(args.faults)
-        except (OSError, FaultSpecError) as exc:
-            print(f"error: cannot load fault spec {args.faults}: {exc}",
-                  file=sys.stderr)
-            return 2
-        resilience = RetryPolicy(max_attempts=args.max_attempts)
+#: RunSpec field ← command flag, for the flags the run commands share.
+_SPEC_FLAGS = (
+    ("engine", "engine"),
+    ("datasize", "datasize"),
+    ("time", "time"),
+    ("distribution", "distribution"),
+    ("periods", "periods"),
+    ("seed", "seed"),
+    ("jitter", "jitter"),
+    ("engine_workers", "workers"),
+    ("synth", "synth"),
+)
+
+
+def _spec_from_args(args: argparse.Namespace, **fields) -> RunSpec:
+    """The RunSpec a command's shared run flags describe, plus ``fields``.
+
+    A flag the command does not define keeps the RunSpec default.
+    """
+    for name, flag in _SPEC_FLAGS:
+        if name not in fields and hasattr(args, flag):
+            fields[name] = getattr(args, flag)
+    return RunSpec(**fields)
+
+
+def _load_faults(path: str | None) -> FaultSpec | None:
+    """The fault spec at ``path``; an unreadable one exits 2 via main."""
+    if not path:
+        return None
     try:
-        client = BenchmarkClient(
-            scenario, engine, factors, periods=args.periods, seed=args.seed,
-            observability=observability,
-            faults=faults, resilience=resilience,
-            durability=args.durability,
-            checkpoint_every=args.checkpoint_every,
-        )
+        return FaultSpec.load(path)
+    except (OSError, FaultSpecError) as exc:
+        raise FaultSpecError(f"cannot load fault spec {path}: {exc}") from exc
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    collect = bool(args.trace_out or args.metrics_out)
+    spec = _spec_from_args(
+        args,
+        faults=_load_faults(args.faults),
+        max_attempts=args.max_attempts,
+        durability=args.durability,
+        checkpoint_every=args.checkpoint_every,
+        collect_metrics=collect,
+        collect_trace=collect,
+    )
+    try:
+        client = client_from_spec(spec)
     except FaultSpecError as exc:
         print(f"error: invalid fault spec {args.faults}: {exc}",
               file=sys.stderr)
         return 2
     result = client.run()
+    observability = client.observability
 
     table = result.metrics.as_table()
     print(
@@ -496,7 +519,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"instances={result.total_instances} errors={result.error_instances}"
     )
     print(result.verification.summary())
-    if faults is not None:
+    if spec.faults is not None:
         print(client.monitor.resilience_summary().describe())
         if result.dead_letters:
             print("  dead letters:")
@@ -525,8 +548,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   f"sfDatasize={args.datasize}] ({result.engine_name})"
         ))
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(result.verification.summary() + "\n\n" + table + "\n")
+        write_text_atomic(
+            args.report,
+            result.verification.summary() + "\n\n" + table + "\n",
+        )
         print(f"\nreport written to {args.report}")
     if args.plot:
         client.monitor.save_plot(args.plot)
@@ -544,14 +569,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Parallel scale-grid sweep with deterministic merged output."""
-    faults = None
-    if args.faults:
-        try:
-            faults = FaultSpec.load(args.faults)
-        except (OSError, FaultSpecError) as exc:
-            print(f"error: cannot load fault spec {args.faults}: {exc}",
-                  file=sys.stderr)
-            return 2
+    faults = _load_faults(args.faults)
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     unknown = [e for e in engines if e not in ENGINES]
     if unknown:
@@ -625,14 +643,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     Both runs are expressed as picklable RunSpecs, so ``--jobs 2``
     executes them concurrently through the sweep executor.
     """
-    if args.faults:
-        try:
-            faults = FaultSpec.load(args.faults)
-        except (OSError, FaultSpecError) as exc:
-            print(f"error: cannot load fault spec {args.faults}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
+    faults = _load_faults(args.faults)
+    if faults is None:
         faults = FaultSpec(
             name="recover-cli",
             seed=args.seed,
@@ -640,21 +652,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
                                point=args.crash_point, period=0),),
         )
 
-    baseline_spec = RunSpec(
-        engine=args.engine,
-        datasize=args.datasize,
-        time=args.time,
-        periods=args.periods,
-        seed=args.seed,
-        engine_workers=args.workers,
-    )
-    crash_spec = RunSpec(
-        engine=args.engine,
-        datasize=args.datasize,
-        time=args.time,
-        periods=args.periods,
-        seed=args.seed,
-        engine_workers=args.workers,
+    baseline_spec = _spec_from_args(args)
+    crash_spec = replace(
+        baseline_spec,
         faults=faults,
         durability=args.durability,
         checkpoint_every=args.checkpoint_every,
@@ -685,8 +685,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     for report in crashed.recovery_reports:
         print(f"  {report.describe()}")
     if args.metrics_out and crash_outcome.metrics_shard is not None:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(export_prometheus(crash_outcome.metrics_shard))
+        write_text_atomic(
+            args.metrics_out, export_prometheus(crash_outcome.metrics_shard)
+        )
         print(f"  metrics written to {args.metrics_out}")
 
     records_equal = crashed.records == base.records
@@ -747,14 +748,8 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
     additionally reports RTO per failover and asserts RPO=0 under
     synchronous shipping.
     """
-    if args.faults:
-        try:
-            faults = FaultSpec.load(args.faults)
-        except (OSError, FaultSpecError) as exc:
-            print(f"error: cannot load fault spec {args.faults}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
+    faults = _load_faults(args.faults)
+    if faults is None:
         if args.crashes < 1:
             print("error: --crashes must be >= 1", file=sys.stderr)
             return 2
@@ -773,21 +768,9 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
             ),
         )
 
-    baseline_spec = RunSpec(
-        engine=args.engine,
-        datasize=args.datasize,
-        time=args.time,
-        periods=args.periods,
-        seed=args.seed,
-        engine_workers=args.workers,
-    )
-    cluster_spec = RunSpec(
-        engine=args.engine,
-        datasize=args.datasize,
-        time=args.time,
-        periods=args.periods,
-        seed=args.seed,
-        engine_workers=args.workers,
+    baseline_spec = _spec_from_args(args)
+    cluster_spec = replace(
+        baseline_spec,
         faults=faults,
         durability=args.durability,
         checkpoint_every=args.checkpoint_every,
@@ -827,8 +810,9 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
     if clustered.replication is not None:
         print(f"  {clustered.replication.describe()}")
     if args.metrics_out and cluster_outcome.metrics_shard is not None:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(export_prometheus(cluster_outcome.metrics_shard))
+        write_text_atomic(
+            args.metrics_out, export_prometheus(cluster_outcome.metrics_shard)
+        )
         print(f"  metrics written to {args.metrics_out}")
 
     records_equal = clustered.records == base.records
@@ -890,17 +874,11 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    factors = ScaleFactors(
-        datasize=args.datasize, time=args.time, distribution=args.distribution
-    )
-    scenario = build_scenario(jitter=args.jitter, seed=args.seed)
-    engine = ENGINES[args.engine](scenario.registry, worker_count=args.workers)
-    observability = Observability()
-    client = BenchmarkClient(
-        scenario, engine, factors, periods=args.periods, seed=args.seed,
-        observability=observability,
+    client = client_from_spec(
+        _spec_from_args(args, collect_metrics=True, collect_trace=True)
     )
     result = client.run()
+    observability = client.observability
 
     if args.format == "chrome":
         observability.write_chrome_trace(args.out)
@@ -938,36 +916,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """
     from repro.db import fastpath
 
-    factors = ScaleFactors(
-        datasize=args.datasize, time=args.time, distribution=args.distribution
+    client = client_from_spec(
+        _spec_from_args(args, collect_metrics=True, collect_trace=True)
     )
-    observability = Observability()
-    if args.synth:
-        from repro.synth import SynthSpec, SynthSpecError, synthesize
-        from repro.synth.runner import SynthClient
-
-        try:
-            synth_spec = SynthSpec.parse(args.synth).resolve(args.seed)
-        except SynthSpecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        workload = synthesize(synth_spec, f=args.distribution)
-        engine = ENGINES[args.engine](
-            workload.scenario.registry, worker_count=args.workers,
-        )
-        client = SynthClient(
-            workload, engine, factors, periods=args.periods,
-            observability=observability,
-        )
-    else:
-        scenario = build_scenario(seed=args.seed)
-        engine = ENGINES[args.engine](
-            scenario.registry, worker_count=args.workers,
-        )
-        client = BenchmarkClient(
-            scenario, engine, factors, periods=args.periods, seed=args.seed,
-            observability=observability,
-        )
     stats_base = fastpath.STATS.copy()
     if args.naive:
         with fastpath.disabled():
@@ -977,7 +928,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     stats = (fastpath.STATS - stats_base).snapshot()
 
     breakdown: dict[str, dict[str, float]] = {}
-    for span in observability.tracer.spans_of_kind("operator"):
+    for span in client.observability.tracer.spans_of_kind("operator"):
         op_kind = span.name.split(":", 1)[0]
         entry = breakdown.setdefault(
             op_kind,
@@ -1054,8 +1005,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         }
         if args.synth:
             payload["workload"] = args.synth
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+        write_text_atomic(
+            args.out, json.dumps(payload, indent=2, sort_keys=True)
+        )
         print(f"breakdown written to {args.out}")
     return 0 if result.verification.ok else 1
 
@@ -1340,7 +1292,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         synthesize,
     )
     from repro.synth.families import label_process
-    from repro.synth.runner import SynthClient
 
     try:
         spec = SynthSpec.parse(args.knobs).resolve(args.seed)
@@ -1385,7 +1336,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             print(f"conformance report written to {args.out}")
         return 0 if report.ok else 1
 
-    workload = synthesize(spec, f=args.distribution)
+    if args.action == "run":
+        # The knob string carries the resolved seed, so it is never empty.
+        client = client_from_spec(_spec_from_args(args, synth=spec.to_string()))
+        workload = client.workload
+    else:
+        workload = synthesize(spec, f=args.distribution)
     manifest = build_manifest(workload, periods=args.periods)
     digest_of_manifest = manifest_digest(manifest)
 
@@ -1432,13 +1388,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         return 0
 
     # action == "run"
-    factors = ScaleFactors(time=args.time, distribution=args.distribution)
-    engine = ENGINES[args.engine](
-        workload.scenario.registry, worker_count=args.workers
-    )
-    client = SynthClient(
-        workload, engine, factors, periods=args.periods
-    )
     result = client.run()
     digest = landscape_digest(workload.scenario.all_databases.values())
     print(

@@ -1,7 +1,7 @@
 """Atomic report writing: missing parents created, no torn files.
 
 Every artifact the toolsuite writes (sweep JSON, Prometheus text,
-storm reports) goes through here: the content is fully serialized
+traces, plots, metric reports, storm reports) goes through here: the content is fully serialized
 *before* the destination is touched, written to a temporary file in the
 destination directory, then moved into place with :func:`os.replace` —
 atomic on POSIX and Windows alike.  A crash, a full disk or a
@@ -20,8 +20,15 @@ from typing import Any
 
 
 def write_text_atomic(path: str | Path, content: str) -> Path:
-    """Atomically replace ``path`` with ``content``, creating parents."""
+    """Atomically replace ``path`` with ``content``, creating parents.
+
+    A device or pipe (``/dev/null``, ``/dev/stdout``) is written in
+    place: replacing it would swap the special file for a regular one.
+    """
     target = Path(path)
+    if target.exists() and not target.is_file():
+        target.write_text(content, encoding="utf-8")
+        return target
     target.parent.mkdir(parents=True, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
         mode="w",

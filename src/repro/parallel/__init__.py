@@ -10,6 +10,7 @@ grid order, so a parallel sweep is byte-identical to the serial one at
 the same seeds.
 
 * :class:`RunSpec` — one picklable benchmark configuration,
+* :func:`client_from_spec` — the one spec → wired client builder,
 * :func:`run_spec` — execute one spec, failures contained per point,
 * :func:`expand_grid` / :func:`parse_grid_axes` — grid construction,
 * :class:`SweepExecutor` / :func:`run_sweep` — the worker pool,
@@ -24,12 +25,14 @@ from repro.parallel.spec import (
     RunSpec,
     SweepError,
     SweepSabotage,
+    client_from_spec,
     run_spec,
 )
 
 __all__ = [
     "RunSpec",
     "RunOutcome",
+    "client_from_spec",
     "run_spec",
     "SweepError",
     "SweepSabotage",

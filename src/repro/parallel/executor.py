@@ -10,8 +10,8 @@ Determinism model
 
 * Every grid point is self-contained: the worker builds its own
   landscape, engine, virtual clocks and RNGs from nothing but the spec
-  (:meth:`BenchmarkClient.from_spec`), so scheduling of workers cannot
-  leak between points.
+  (:func:`~repro.parallel.spec.client_from_spec`), so scheduling of
+  workers cannot leak between points.
 * Workers return complete :class:`RunOutcome` objects; the parent stores
   them at the spec's original grid index.  Completion order is
   irrelevant — the merged result reads as if the specs ran serially.

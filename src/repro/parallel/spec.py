@@ -5,11 +5,14 @@ one point of the paper's (datasize, time, distribution) scale grid, at
 one seed, on one engine, with the run's resilience fault timeline and
 durability settings carried along.  It contains no live objects: a
 worker process receives nothing but the spec and builds its own
-landscape, engine and clocks from it (``BenchmarkClient.from_spec``),
-which is what makes sweeping the grid across ``multiprocessing`` workers
-byte-identical to running it serially.
+landscape, engine and clocks from it, which is what makes sweeping the
+grid across ``multiprocessing`` workers byte-identical to running it
+serially.
 
-:func:`run_spec` executes one spec end to end and returns a
+:func:`client_from_spec` is the one place a spec becomes a wired
+client: the CLI commands, sweep workers, served sessions and the synth
+conformance bridge all build through it.  :func:`run_spec` is that path
+plus error containment: it executes one spec end to end and returns a
 :class:`RunOutcome` — itself picklable, carrying the full
 :class:`BenchmarkResult`, the landscape digest, and (when requested) the
 worker's metrics/trace shards for the parent to merge.
@@ -19,14 +22,20 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from repro.engine.base import InstanceRecord
-from repro.errors import ReproError
-from repro.observability.metrics import MetricsRegistry
+from repro.engine.base import InstanceRecord, IntegrationEngine
+from repro.errors import BenchmarkError, ReproError
+from repro.observability import Observability
+from repro.observability.metrics import MetricsRegistry, NullMetricsRegistry
+from repro.observability.tracer import NullTracer, Tracer
 from repro.resilience import FaultSpec
 from repro.toolsuite.client import BenchmarkClient, BenchmarkResult
 from repro.toolsuite.schedule import ScaleFactors
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.synth.runner import SynthClient
 
 
 class SweepError(ReproError):
@@ -111,6 +120,32 @@ class RunSpec:
     def with_engine(self, engine: str) -> "RunSpec":
         """The same grid point on another engine (conformance pairs)."""
         return replace(self, engine=engine)
+
+    def build_engine(self, registry) -> IntegrationEngine:
+        """This spec's engine over a landscape's service ``registry``."""
+        from repro.engine import ENGINES
+
+        if self.engine not in ENGINES:
+            raise BenchmarkError(
+                f"unknown engine {self.engine!r}; "
+                f"choose from {sorted(ENGINES)}"
+            )
+        return ENGINES[self.engine](
+            registry, worker_count=self.engine_workers
+        )
+
+    def build_observability(self) -> Observability | None:
+        """The run's tracer/metrics bundle, or None when nothing is collected."""
+        if not (self.collect_metrics or self.collect_trace):
+            return None
+        return Observability(
+            tracer=Tracer() if self.collect_trace else NullTracer(),
+            metrics=(
+                MetricsRegistry()
+                if self.collect_metrics
+                else NullMetricsRegistry()
+            ),
+        )
 
 
 @dataclass
@@ -223,6 +258,15 @@ class RunOutcome:
         return row
 
 
+def client_from_spec(spec: RunSpec) -> "BenchmarkClient | SynthClient":
+    """The wired client for ``spec``: synthesized workload or classic."""
+    if spec.synth:
+        from repro.synth.runner import SynthClient
+
+        return SynthClient.from_spec(spec)
+    return BenchmarkClient.from_spec(spec)
+
+
 def run_spec(spec: RunSpec) -> RunOutcome:
     """Execute one :class:`RunSpec` in-process and contain its failures.
 
@@ -237,12 +281,7 @@ def run_spec(spec: RunSpec) -> RunOutcome:
     try:
         if spec.sabotage == "raise":
             raise SweepSabotage(f"sabotaged grid point: {spec.label}")
-        if spec.synth:
-            from repro.synth.runner import SynthClient
-
-            client = SynthClient.from_spec(spec)
-        else:
-            client = BenchmarkClient.from_spec(spec)
+        client = client_from_spec(spec)
         result = client.run(verify=spec.verify)
         digest = landscape_digest(client.scenario.all_databases.values())
         metrics_shard = None

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import FaultSpecError
+from repro.ioutil import write_text_atomic
 from repro.xmlkit.doc import XmlElement
 
 #: Kinds that hit the network layer and need ``src``/``dst``.
@@ -468,8 +469,7 @@ class FaultSpec:
             return cls.from_json(handle.read())
 
     def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
+        write_text_atomic(path, self.to_json())
 
 
 def corrupt_document(document: XmlElement, rng) -> str:

@@ -19,10 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.storage.digest import landscape_digest
-from repro.synth.generator import synthesize
-from repro.synth.runner import SynthClient
 from repro.synth.spec import SynthSpec
-from repro.toolsuite.schedule import ScaleFactors
 
 
 @dataclass
@@ -67,21 +64,22 @@ def run_differential(
 ) -> ConformanceReport:
     """Run ``spec`` on every engine and compare the outcomes."""
     from repro.engine import ENGINES
+    from repro.parallel.spec import RunSpec, client_from_spec
 
     spec.assert_valid()
     if spec.seed is None:
         raise ValueError("run_differential needs a resolved spec")
     names = engines if engines is not None else sorted(ENGINES)
+    run = RunSpec(
+        synth=spec.to_string(),
+        seed=spec.seed,
+        distribution=f,
+        periods=periods,
+        time=time,
+    )
     report = ConformanceReport(spec=spec)
     for name in names:
-        workload = synthesize(spec, f=f)
-        engine = ENGINES[name](workload.scenario.registry, worker_count=4)
-        client = SynthClient(
-            workload,
-            engine,
-            ScaleFactors(time=time, distribution=f),
-            periods=periods,
-        )
+        client = client_from_spec(run.with_engine(name))
         result = client.run(verify=True)
         statuses: dict[str, Counter] = {}
         for record in result.records:
@@ -92,7 +90,7 @@ def run_differential(
             EngineOutcome(
                 engine=name,
                 digest=landscape_digest(
-                    workload.scenario.all_databases.values()
+                    client.scenario.all_databases.values()
                 ),
                 instance_statuses=statuses,
                 verification_ok=result.verification.ok,

@@ -80,42 +80,17 @@ class SynthClient:
         engine and observability, so parallel grid points share no state
         and reproduce the serial run byte-identically.
         """
-        from repro.engine import ENGINES
-        from repro.observability.metrics import (
-            MetricsRegistry,
-            NullMetricsRegistry,
-        )
-        from repro.observability.tracer import NullTracer, Tracer
-
-        if spec.engine not in ENGINES:
-            raise BenchmarkError(
-                f"unknown engine {spec.engine!r}; "
-                f"choose from {sorted(ENGINES)}"
-            )
         synth_spec = SynthSpec.parse(spec.synth).resolve(spec.seed)
         workload = synthesize(
             synth_spec, f=spec.distribution, jitter=spec.jitter
         )
-        engine = ENGINES[spec.engine](
-            workload.scenario.registry,
-            worker_count=spec.engine_workers,
-        )
-        observability = None
-        if spec.collect_metrics or spec.collect_trace:
-            observability = Observability(
-                tracer=Tracer() if spec.collect_trace else NullTracer(),
-                metrics=(
-                    MetricsRegistry()
-                    if spec.collect_metrics
-                    else NullMetricsRegistry()
-                ),
-            )
+        engine = spec.build_engine(workload.scenario.registry)
         return cls(
             workload,
             engine,
             spec.factors,
             periods=spec.periods,
-            observability=observability,
+            observability=spec.build_observability(),
         )
 
     # -- execution --------------------------------------------------------------

@@ -273,34 +273,10 @@ class BenchmarkClient:
         so no state is ever shared between grid points — which is what
         makes a parallel sweep byte-identical to the serial one.
         """
-        from repro.engine import ENGINES
-        from repro.observability.metrics import (
-            MetricsRegistry,
-            NullMetricsRegistry,
-        )
-        from repro.observability.tracer import NullTracer, Tracer
         from repro.scenario import build_scenario
 
-        if spec.engine not in ENGINES:
-            raise BenchmarkError(
-                f"unknown engine {spec.engine!r}; "
-                f"choose from {sorted(ENGINES)}"
-            )
         scenario = build_scenario(jitter=spec.jitter, seed=spec.seed)
-        engine = ENGINES[spec.engine](
-            scenario.registry,
-            worker_count=spec.engine_workers,
-        )
-        observability = None
-        if spec.collect_metrics or spec.collect_trace:
-            observability = Observability(
-                tracer=Tracer() if spec.collect_trace else NullTracer(),
-                metrics=(
-                    MetricsRegistry()
-                    if spec.collect_metrics
-                    else NullMetricsRegistry()
-                ),
-            )
+        engine = spec.build_engine(scenario.registry)
         resilience = (
             RetryPolicy(max_attempts=spec.max_attempts)
             if spec.faults is not None
@@ -324,7 +300,7 @@ class BenchmarkClient:
             periods=spec.periods,
             seed=spec.seed,
             sandiego_error_rate=spec.sandiego_error_rate,
-            observability=observability,
+            observability=spec.build_observability(),
             faults=spec.faults,
             resilience=resilience,
             durability=spec.durability,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.parallel import RunSpec, client_from_spec
 
 
 class TestProcessesCommand:
@@ -379,3 +380,243 @@ class TestStormCommand:
     def test_bad_model_knob_exits_2(self, capsys):
         assert main(["storm", "--clients", "0"]) == 2
         assert "client" in capsys.readouterr().err
+
+
+def _operator_rows(out: str) -> list[str]:
+    """The per-operator rows of a ``repro profile`` report."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("operator"))
+    end = lines.index("fast-path counters:")
+    return lines[start + 1:end]
+
+
+def _format_operator(op_kind: str, entry: dict) -> str:
+    return (
+        f"{op_kind:<16}{int(entry['count']):>8}{entry['cost']:>12.2f}"
+        f"{entry['work']:>12.1f}{entry['communication']:>10.1f}"
+        f"{int(entry['vectorized']):>8}{int(entry['fallbacks']):>8}"
+    )
+
+
+_CLASSIC_ROWS = [
+    # operator, count, cost, work, comm
+    ("invoke", 289, "756.69", "6153.0", "635.5"),
+    ("translation", 73, "337.26", "6694.0", "0.0"),
+    ("assign", 151, "69.71", "151.0", "0.0"),
+    ("convert", 8, "63.80", "1276.0", "0.0"),
+    ("signal", 78, "38.38", "78.0", "0.0"),
+    ("receive", 68, "33.97", "68.0", "0.0"),
+    ("join", 11, "23.42", "2172.0", "0.0"),
+    ("validate_rows", 4, "18.16", "908.0", "0.0"),
+    ("projection", 57, "16.85", "1177.0", "0.0"),
+    ("validate", 22, "16.60", "276.0", "6.0"),
+    ("union", 8, "16.56", "828.0", "0.0"),
+    ("selection", 13, "8.72", "516.0", "0.0"),
+    ("extract_field", 25, "1.31", "25.0", "0.0"),
+]
+
+
+def _rows(table, vectorized: dict[str, int]) -> list[str]:
+    return [
+        f"{op:<16}{count:>8}{cost:>12}{work:>12}{comm:>10}"
+        f"{vectorized.get(op, 0):>8}{0:>8}"
+        for op, count, cost, work, comm in table
+    ]
+
+
+class TestProfileCommand:
+    """``repro profile``: header, operator rows and ``--out`` JSON pinned
+    at d=0.02, one period, seed 42 on the interpreter."""
+
+    def _profile(self, tmp_path, capsys, *extra):
+        out_file = tmp_path / "profile.json"
+        status = main([
+            "profile", "--datasize", "0.02", "--periods", "1",
+            *extra, "--out", str(out_file),
+        ])
+        assert status == 0
+        out = capsys.readouterr().out
+        return out, json.loads(out_file.read_text())
+
+    def _check_json_matches_report(self, out, doc, path, rows):
+        from repro.db import vector
+
+        assert doc["engine"] == "mtm-interpreter"
+        assert doc["factors"] == {
+            "datasize": 0.02, "time": 1.0, "distribution": 0,
+        }
+        assert doc["periods"] == 1
+        assert doc["path"] == path
+        assert doc["batch_threshold"] == vector.batch_threshold()
+        ordered = sorted(
+            doc["operators"],
+            key=lambda k: doc["operators"][k]["cost"],
+            reverse=True,
+        )
+        assert [
+            _format_operator(k, doc["operators"][k]) for k in ordered
+        ] == rows
+        counters = out.split("fast-path counters:\n", 1)[1].splitlines()
+        printed = {
+            line.split()[0]: int(line.split()[1])
+            for line in counters
+            if line.startswith("  ")
+        }
+        assert doc["fastpath"] == printed
+
+    def test_classic(self, tmp_path, capsys):
+        out, doc = self._profile(tmp_path, capsys)
+        assert out.splitlines()[0] == (
+            "engine=mtm-interpreter d=0.02 t=1.0 periods=1 path=fast"
+        )
+        rows = _rows(
+            _CLASSIC_ROWS, {"invoke": 1, "join": 7, "selection": 2}
+        )
+        assert _operator_rows(out) == rows
+        self._check_json_matches_report(out, doc, "fast", rows)
+        assert "workload" not in doc
+        fp = doc["fastpath"]
+        assert (fp["rows_copied"], fp["rows_shared"]) == (3049, 8291)
+        assert (fp["index_joins"], fp["hash_joins"], fp["pushdowns"]) == (
+            5, 4, 23,
+        )
+        assert (fp["vector_filters"], fp["vector_joins"]) == (2, 8)
+
+    def test_naive(self, tmp_path, capsys):
+        out, doc = self._profile(tmp_path, capsys, "--naive")
+        assert out.splitlines()[0] == (
+            "engine=mtm-interpreter d=0.02 t=1.0 periods=1 path=naive"
+        )
+        rows = _rows(_CLASSIC_ROWS, {})
+        assert _operator_rows(out) == rows
+        self._check_json_matches_report(out, doc, "naive", rows)
+        fp = doc["fastpath"]
+        assert fp["rows_copied"] == 11767
+        assert fp["rows_shared"] == fp["pushdowns"] == fp["expr_compiled"] == 0
+
+    def test_synth(self, tmp_path, capsys):
+        knobs = "sources=2,families=cdc+scd"
+        out, doc = self._profile(tmp_path, capsys, "--synth", knobs)
+        lines = out.splitlines()
+        assert lines[0] == (
+            "engine=mtm-interpreter d=0.02 t=1.0 periods=1 path=fast "
+            f"workload={knobs}"
+        )
+        assert lines[3].split() == [
+            "cdc", "4", "16", "0", "30.75", "3.81", "2.35", "0.71",
+        ]
+        assert lines[4].split() == [
+            "scd", "3", "14", "0", "30.49", "3.95", "3.23", "1.09",
+        ]
+        rows = _rows(
+            [
+                ("invoke", 44, "94.66", "164.0", "91.4"),
+                ("receive", 24, "12.00", "24.0", "0.0"),
+                ("convert", 24, "7.80", "156.0", "0.0"),
+                ("union", 2, "1.52", "76.0", "0.0"),
+                ("projection", 32, "1.48", "74.0", "0.0"),
+                ("selection", 2, "0.60", "30.0", "0.0"),
+            ],
+            {},
+        )
+        assert _operator_rows(out) == rows
+        self._check_json_matches_report(out, doc, "fast", rows)
+        assert doc["workload"] == knobs
+        assert (doc["fastpath"]["rows_copied"],
+                doc["fastpath"]["rows_shared"]) == (110, 248)
+
+
+_SYNTH_DIGEST = (
+    "893c28b550af31a0753fdcdbcc968e194aeb0bda798a151dc275149ce601cc5f"
+)
+_SYNTH_SPEC_DIGEST = (
+    "91fdd944f65e39dd24f8d5255a46621f9fba6a4e6031cb6b29eb3b59cfc80282"
+)
+
+
+class TestSynthRunCommand:
+    """``repro synth run``: the default spec at seed 42, pinned."""
+
+    def test_run_out(self, tmp_path, capsys):
+        out_file = tmp_path / "run.json"
+        assert main(["synth", "run", "--out", str(out_file)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "engine=mtm-interpreter spec=seed=42 f=0 periods=1"
+        assert lines[1] == "instances=46 errors=0 landscape=893c28b550af"
+        assert "verification OK: 23 checks" in lines
+        doc = json.loads(out_file.read_text())
+        spec = doc.pop("spec")
+        assert spec["seed"] == 42 and spec["sources"] == 2
+        assert doc == {
+            "distribution": 0,
+            "engine": "mtm-interpreter",
+            "errors": 0,
+            "failures": [],
+            "instances": 46,
+            "landscape_digest": _SYNTH_DIGEST,
+            "manifest_digest": (
+                "f3f09c27a8368782fc6c83ed8b6be64f"
+                "42d2cf78866963dc26769bdaf33cf844"
+            ),
+            "periods": 1,
+            "spec_digest": _SYNTH_SPEC_DIGEST,
+            "verification_ok": True,
+        }
+
+    def test_conformance_out(self, tmp_path, capsys):
+        out_file = tmp_path / "conformance.json"
+        status = main([
+            "synth", "run", "--conformance", "--out", str(out_file),
+        ])
+        assert status == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "conformance OK: spec seed=42 across 4 engines"
+        engines = ("eai", "etl", "federated", "interpreter")
+        assert lines[1:5] == [
+            f"  {name:<14} digest=893c28b550af verification=ok"
+            for name in engines
+        ]
+        doc = json.loads(out_file.read_text())
+        assert doc["spec_digest"] == _SYNTH_SPEC_DIGEST
+        assert (doc["ok"], doc["problems"], doc["distribution"]) == (
+            True, [], 0,
+        )
+        assert doc["engines"] == {
+            name: {"digest": _SYNTH_DIGEST, "verification_ok": True}
+            for name in engines
+        }
+
+
+class TestCliSpecParity:
+    """CLI runs and direct ``client_from_spec`` runs of the same spec
+    share one construction path, so their exports are byte-equal."""
+
+    SPEC = RunSpec(
+        datasize=0.02, periods=1, collect_trace=True, collect_metrics=True,
+    )
+
+    def _direct(self):
+        client = client_from_spec(self.SPEC)
+        client.run()
+        return client.observability
+
+    def test_run_trace_and_metrics_out(self, tmp_path, capsys):
+        trace, metrics = tmp_path / "t.json", tmp_path / "m.prom"
+        assert main([
+            "run", "--periods", "1", "--datasize", "0.02", "--quiet",
+            "--trace-out", str(trace), "--metrics-out", str(metrics),
+        ]) == 0
+        direct = self._direct()
+        assert trace.read_text() == direct.chrome_trace()
+        assert metrics.read_text() == direct.prometheus()
+
+    def test_trace_jsonl(self, tmp_path, capsys):
+        spans, metrics = tmp_path / "t.jsonl", tmp_path / "m.prom"
+        assert main([
+            "trace", "--periods", "1", "--datasize", "0.02",
+            "--format", "jsonl", "--out", str(spans),
+            "--metrics-out", str(metrics),
+        ]) == 0
+        direct = self._direct()
+        assert spans.read_text() == direct.spans_jsonl()
+        assert metrics.read_text() == direct.prometheus()

@@ -6,6 +6,9 @@ partial file behind, and the previous report survives a failed rewrite.
 """
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -29,6 +32,20 @@ class TestWriteTextAtomic:
         target = tmp_path / "report.txt"
         write_text_atomic(target, "content")
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs mkfifo")
+    def test_special_file_written_in_place(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(pipe.read_text()), daemon=True
+        )
+        reader.start()
+        write_text_atomic(pipe, "streamed\n")
+        reader.join(timeout=10)
+        assert received == ["streamed\n"]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
 
 
 class TestWriteJsonAtomic:
@@ -75,3 +92,39 @@ class TestSweepOutIsAtomic:
         main(["sweep", "--grid", "d=0.02", "--seeds", "11", "--quiet",
               "--out", str(out)])
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
+
+
+class TestCliArtifactsCreateParents:
+    """Every artifact flag writes through the atomic path: a missing
+    parent directory is created instead of losing the finished run."""
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (
+                ["run", "--periods", "1", "--datasize", "0.02", "--quiet"],
+                ["--report", "--plot", "--trace-out", "--metrics-out"],
+            ),
+            (
+                ["trace", "--periods", "1", "--datasize", "0.02"],
+                ["--out", "--metrics-out"],
+            ),
+            (
+                ["profile", "--periods", "1", "--datasize", "0.02"],
+                ["--out"],
+            ),
+            (
+                ["recover", "--datasize", "0.02", "--crash-at", "300"],
+                ["--metrics-out"],
+            ),
+        ],
+        ids=["run", "trace", "profile", "recover"],
+    )
+    def test_nested_paths(self, tmp_path, capsys, argv, flags):
+        targets = [
+            tmp_path / "deep" / flag.lstrip("-") / "artifact" for flag in flags
+        ]
+        paths = [arg for pair in zip(flags, map(str, targets)) for arg in pair]
+        assert main([*argv, *paths]) == 0
+        for target in targets:
+            assert target.read_text()
